@@ -35,9 +35,6 @@ final class BitWriter(initialCapacity: Int = 64) {
     }
   }
 
-  /** Number of bits written so far. */
-  def lengthInBits: Long = bitPos
-
   /** Snapshot of the written bits, padded with zero bits to a byte boundary. */
   def toBytes: Array[Byte] = Arrays.copyOf(buf, ((bitPos + 7) >> 3).toInt)
 }
@@ -95,9 +92,4 @@ final class BitReader(bytes: Array[Byte]) {
     require(bitPos + nbits <= limit, "skip past end of stream")
     bitPos += nbits
   }
-
-  /** Bits consumed so far. */
-  def position: Long = bitPos
-
-  def remainingBits: Long = limit - bitPos
 }

@@ -15,14 +15,4 @@ object Delta {
     while (i < a.length) { out(i) = a(i) - a(i - 1); i += 1 }
     out
   }
-
-  /** Inverse of [[encode]] (prefix sum). */
-  def decode(a: Array[Long]): Array[Long] = {
-    if (a.isEmpty) return Array.emptyLongArray
-    val out = new Array[Long](a.length)
-    out(0) = a(0)
-    var i = 1
-    while (i < a.length) { out(i) = out(i - 1) + a(i); i += 1 }
-    out
-  }
 }

@@ -14,9 +14,6 @@ object FixedLength {
     Zigzag.bitWidth(max)
   }
 
-  /** Exact payload cost in bits for coding `a` fixed-length (excl. headers). */
-  def costBits(a: Array[Long]): Long = widthFor(a).toLong * a.length
-
   /** Pack `a` at width `width` bits per value. */
   def encode(a: Array[Long], width: Int): Array[Byte] = {
     val w = new BitWriter(((a.length.toLong * width + 7) / 8).toInt + 8)

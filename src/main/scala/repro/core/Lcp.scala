@@ -1,6 +1,7 @@
 package repro.core
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream}
+import scala.collection.immutable.ArraySeq
 import repro.coding.{ByteIO, Zigzag}
 
 /** LCP — the dynamic multi-frame hybrid compressor (§7, Algorithm 1).
@@ -184,24 +185,19 @@ object Lcp {
       var temporalBytes: Array[Byte] = null
       var temporalRecon: Frame = null
 
-      if (!canTemporal) {
+      if (!canTemporal || fsm.nextAction() == LcpFsm.UseSpatial) {
         spatial = LcpS.compress(f, sEb, p)
         fsm.observe(compared = false, spatialWon = true)
-      } else fsm.nextAction() match {
-        case LcpFsm.UseSpatial =>
-          spatial = LcpS.compress(f, sEb, p)
-          fsm.observe(compared = false, spatialWon = true)
-        case LcpFsm.Compare =>
-          val aligned = f.reorder(basisPerm)
-          val t = LcpT.compress(aligned, basisRecon, cfg.eb)
-          tTrials += 1
-          // LCP-S size is estimated from the last actual LCP-S frame (§7.2);
-          // before any LCP-S run exists, measure it once.
-          val sEst = if (lastSSize >= 0) lastSSize else { spatial = LcpS.compress(f, sEb, p); spatial.bytes.length.toLong }
-          val spatialWon = sEst <= t.bytes.length
-          if (spatialWon) { if (spatial == null) spatial = LcpS.compress(f, sEb, p) }
-          else { spatial = null; temporalBytes = t.bytes; temporalRecon = t.recon }
-          fsm.observe(compared = true, spatialWon = spatialWon)
+      } else {
+        val t = LcpT.compress(f.reorder(basisPerm), basisRecon, cfg.eb)
+        tTrials += 1
+        // LCP-S size is estimated from the last actual LCP-S frame (§7.2);
+        // before any LCP-S run exists, measure it once.
+        val sEst = if (lastSSize >= 0) lastSSize else { spatial = LcpS.compress(f, sEb, p); spatial.bytes.length.toLong }
+        val spatialWon = sEst <= t.bytes.length
+        if (spatialWon) { if (spatial == null) spatial = LcpS.compress(f, sEb, p) }
+        else { spatial = null; temporalBytes = t.bytes; temporalRecon = t.recon }
+        fsm.observe(compared = true, spatialWon = spatialWon)
       }
 
       if (spatial != null) {
@@ -243,57 +239,44 @@ object Lcp {
     * (§2.1.3). Only the batch's payloads plus (at most) one anchor frame
     * are touched. */
   def decompressBatch(a: LcpArchive, batchIdx: Int): IndexedSeq[Frame] = {
-    val start = batchIdx * a.batchSize
-    val end   = math.min(start + a.batchSize, a.numFrames)
-    var prev: Frame = null
-    (start until end).map { i =>
-      val e = a.entries(i)
-      val f =
-        if (!e.temporal) {
-          if (e.inAnchor) LcpS.decompress(a.anchors(e.slot))
-          else LcpS.decompress(a.batches(batchIdx)(e.slot))
-        } else {
-          val basis =
-            if (i == start) LcpS.decompress(a.anchors(e.anchorRef)) // nearest anchor (§7.3)
-            else prev
-          LcpT.decompress(a.batches(batchIdx)(e.slot), basis)
-        }
-      prev = f
-      f
-    }
+    val start = batchIdx.toLong * a.batchSize
+    decodeRange(a, start, math.min(start + a.batchSize, a.numFrames) - 1)
   }
 
-  /** Decompress a single frame: decode only its batch up to the frame (plus
-    * one anchor when needed) — the §7.3 worst case. */
-  def decompressFrame(a: LcpArchive, frameIdx: Int): Frame = {
-    val batchIdx = frameIdx / a.batchSize
-    val start    = batchIdx * a.batchSize
-    // A temporal chain starts at the nearest spatial frame at or before the
-    // target (or at the batch head, whose basis is an anchor frame) — only
-    // that suffix of the batch needs decoding.
-    var chainStart = frameIdx
-    while (chainStart > start && a.entries(chainStart).temporal) chainStart -= 1
-    var prev: Frame = null
-    var out: Frame  = null
-    var i = chainStart
-    while (i <= frameIdx) {
-      val e = a.entries(i)
-      val f =
-        if (!e.temporal) {
-          if (e.inAnchor) LcpS.decompress(a.anchors(e.slot))
-          else LcpS.decompress(a.batches(batchIdx)(e.slot))
-        } else {
-          val basis = if (i == start) LcpS.decompress(a.anchors(e.anchorRef)) else prev
-          LcpT.decompress(a.batches(batchIdx)(e.slot), basis)
-        }
-      prev = f
-      out = f
-      i += 1
-    }
-    out
-  }
+  /** Decompress a single frame: decode only its temporal chain (plus one
+    * anchor when needed) — the §7.3 worst case. */
+  def decompressFrame(a: LcpArchive, frameIdx: Int): Frame =
+    decodeRange(a, frameIdx, frameIdx).head
 
   /** Decompress the whole archive, batch by batch. */
   def decompressAll(a: LcpArchive): IndexedSeq[Frame] =
     a.batches.indices.flatMap(decompressBatch(a, _))
+
+  /** Frames `first` to `last` (inclusive, one batch) by the §7.3 rule: a
+    * temporal chain starts at the nearest spatial frame at or before
+    * `first`, or at the batch head, whose basis is an anchor frame; decoding
+    * runs forward from there, each frame once. */
+  private def decodeRange(a: LcpArchive, first: Long, last: Long): IndexedSeq[Frame] = {
+    require(first >= 0 && first < a.numFrames,
+      s"frame $first (batch ${Math.floorDiv(first, a.batchSize.toLong)}) is out of range: " +
+        s"the archive has frames 0 until ${a.numFrames} in batches 0 until ${a.batches.size}")
+    val from     = first.toInt
+    val to       = last.toInt
+    val batchIdx = from / a.batchSize
+    val start    = batchIdx * a.batchSize
+    val out      = new Array[Frame](to - from + 1)
+    var i = from
+    while (i > start && a.entries(i).temporal) i -= 1
+    var prev: Frame = null
+    while (i <= to) {
+      val e = a.entries(i)
+      prev =
+        if (!e.temporal) LcpS.decompress(if (e.inAnchor) a.anchors(e.slot) else a.batches(batchIdx)(e.slot))
+        else LcpT.decompress(a.batches(batchIdx)(e.slot),
+          if (i == start) LcpS.decompress(a.anchors(e.anchorRef)) else prev)
+      if (i >= from) out(i - from) = prev
+      i += 1
+    }
+    ArraySeq.unsafeWrapArray(out)
+  }
 }

@@ -52,16 +52,7 @@ object LcpS {
     ByteIO.writeSection(out, Dictionary.compress(body.toByteArray))
 
     // Reconstruction in stored order = dequantized bins in block order.
-    val reconQ = reorderQ(qf, grouped.perm)
-    SResult(out.toByteArray, grouped.perm, reconQ.dequantize)
-  }
-
-  private def reorderQ(qf: QFrame, perm: Array[Int]): QFrame = {
-    val n  = qf.n
-    val qx = new Array[Long](n); val qy = new Array[Long](n); val qz = new Array[Long](n)
-    var i = 0
-    while (i < n) { val j = perm(i); qx(i) = qf.qx(j); qy(i) = qf.qy(j); qz(i) = qf.qz(j); i += 1 }
-    QFrame(qx, qy, qz, qf.minX, qf.minY, qf.minZ, qf.eb)
+    SResult(out.toByteArray, grouped.perm, qf.dequantize.reorder(grouped.perm))
   }
 
   /** Decompress a frame written by [[compress]] (returned in block order). */

@@ -8,7 +8,6 @@ class DeltaZigzagSpec extends AnyFunSuite with PropSupport {
 
   test("delta of empty array is empty") {
     assert(Delta.encode(Array.emptyLongArray).isEmpty)
-    assert(Delta.decode(Array.emptyLongArray).isEmpty)
   }
 
   test("delta of singleton keeps the value") {
@@ -21,13 +20,6 @@ class DeltaZigzagSpec extends AnyFunSuite with PropSupport {
 
   test("delta handles negative jumps") {
     assert(Delta.encode(Array(5L, -5L, 5L)).sameElements(Array(5L, -10L, 10L)))
-  }
-
-  test("property: delta roundtrip") {
-    forAllG(Gen.listOf(Gen.choose(-1000000L, 1000000L))) { xs =>
-      val a = xs.toArray
-      assert(Delta.decode(Delta.encode(a)).sameElements(a))
-    }
   }
 
   test("zigzag maps small signed to small unsigned") {

@@ -16,6 +16,15 @@ class LcpSpec extends AnyFunSuite with PropSupport {
     }
   }
 
+  /** Same frame count and bit-identical x, y and z in every frame. */
+  private def assertSameFrames(got: Seq[Frame], want: Seq[Frame]): Unit = {
+    assert(got.size == want.size, "frame count")
+    got.zip(want).zipWithIndex.foreach { case ((g, w), k) =>
+      assert(java.util.Arrays.equals(g.x, w.x) && java.util.Arrays.equals(g.y, w.y) &&
+        java.util.Arrays.equals(g.z, w.z), s"frame $k")
+    }
+  }
+
   test("single frame archive roundtrip") {
     val frames = IndexedSeq(TestFrames.bunny(500))
     val r = Lcp.compress(frames, LcpConfig(0.01, batchSize = 8))
@@ -64,20 +73,15 @@ class LcpSpec extends AnyFunSuite with PropSupport {
     val r = Lcp.compress(frames, LcpConfig(0.02, batchSize = 4))
     val all = Lcp.decompressAll(r.archive)
     val b1 = Lcp.decompressBatch(r.archive, 1) // frames 4..7
-    assert(b1.size == 4)
-    b1.zipWithIndex.foreach { case (f, k) =>
-      assert(f.x.sameElements(all(4 + k).x))
-    }
+    assertSameFrames(b1, all.slice(4, 8))
+    assertSameFrames(Lcp.decompressBatch(r.archive, 2), all.slice(8, 10)) // short last batch
   }
 
   test("decompressFrame matches decompressAll for every frame") {
     val frames = TestFrames.copper(300, 9)
     val r = Lcp.compress(frames, LcpConfig(0.03, batchSize = 4))
     val all = Lcp.decompressAll(r.archive)
-    frames.indices.foreach { i =>
-      val f = Lcp.decompressFrame(r.archive, i)
-      assert(f.x.sameElements(all(i).x), s"frame $i")
-    }
+    assertSameFrames(frames.indices.map(Lcp.decompressFrame(r.archive, _)), all)
   }
 
   test("batch independence: a batch decodes using only its own payloads plus anchors") {
@@ -86,9 +90,50 @@ class LcpSpec extends AnyFunSuite with PropSupport {
     val a = r.archive
     // Wipe the other batch's payloads; target batch must still decode.
     val crippled = a.copy(batches = a.batches.updated(0, a.batches(0).map(_ => Array.emptyByteArray)))
-    val b1 = Lcp.decompressBatch(crippled, 1)
-    val orig = Lcp.decompressBatch(a, 1)
-    b1.zip(orig).foreach { case (fa, fb) => assert(fa.x.sameElements(fb.x)) }
+    assertSameFrames(Lcp.decompressBatch(crippled, 1), Lcp.decompressBatch(a, 1))
+  }
+
+  test("frame retrieval decodes only the target's chain (§7.3 worst case)") {
+    // The Copper setup of "anchor frames enable temporal batch heads", with a
+    // scene cut at frame 6: the new sequence forces a spatial frame inside
+    // batch 1, so some chains start after their batch head.
+    val frames = TestFrames.copper(1500, 12).take(6) ++ repro.data.Particles.copper(1500, 6, 99)
+    val a = Lcp.compress(frames, LcpConfig(0.05, batchSize = 4, ebScaleMode = Off)).archive
+    val all = Lcp.decompressAll(a)
+    var laterStarts, anchoredHeads = 0
+    frames.indices.foreach { t =>
+      val b     = t / a.batchSize
+      val start = b * a.batchSize
+      var chainStart = t
+      while (chainStart > start && a.entries(chainStart).temporal) chainStart -= 1
+      val head = a.entries(chainStart)
+      val anchor =
+        if (head.inAnchor) head.slot else if (chainStart == start && head.temporal) head.anchorRef else -1
+      val slots = (chainStart to t).map(a.entries).filterNot(_.inAnchor).map(_.slot).toSet
+      if (chainStart > start) laterStarts += 1
+      if (head.temporal) anchoredHeads += 1
+      val minimal = a.copy(
+        anchors = a.anchors.indices.map(k => if (k == anchor) a.anchors(k) else Array.emptyByteArray),
+        batches = a.batches.indices.map { k =>
+          a.batches(k).indices.map(s => if (k == b && slots(s)) a.batches(k)(s) else Array.emptyByteArray)
+        })
+      assertSameFrames(Seq(Lcp.decompressFrame(minimal, t)), Seq(all(t)))
+    }
+    assert(laterStarts > 0 && anchoredHeads > 0, s"methods ${frames.indices.map(a.entries(_).temporal)}")
+  }
+
+  test("retrieval rejects out-of-range batch and frame indices") {
+    val frames = TestFrames.lj(200, 6)
+    val a = Lcp.compress(frames, LcpConfig(0.02, batchSize = 4)).archive // batches 0..3, 4..5
+    val range = s"frames 0 until ${a.numFrames} in batches 0 until ${a.batches.size}"
+    for (b <- Seq(-1, a.batches.size, Int.MaxValue)) {
+      val e = intercept[IllegalArgumentException](Lcp.decompressBatch(a, b))
+      assert(e.getMessage.contains(s"(batch $b)") && e.getMessage.contains(range), e.getMessage)
+    }
+    for (f <- Seq(-1, a.numFrames)) {
+      val e = intercept[IllegalArgumentException](Lcp.decompressFrame(a, f))
+      assert(e.getMessage.contains(s"frame $f ") && e.getMessage.contains(range), e.getMessage)
+    }
   }
 
   test("anchor frames enable temporal batch heads") {

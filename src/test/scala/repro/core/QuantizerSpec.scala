@@ -90,10 +90,4 @@ class QuantizerSpec extends AnyFunSuite with PropSupport {
       }
     }
   }
-
-  test("prediction-side quantization is deterministic floor") {
-    assert(Quantizer.quantizeForPrediction(0.999, 0.0, 0.5) == 0)
-    assert(Quantizer.quantizeForPrediction(1.0, 0.0, 0.5) == 1)
-    assert(Quantizer.quantizeForPrediction(-0.1, 0.0, 0.5) == -1)
-  }
 }
